@@ -23,7 +23,7 @@
 //                   a fresh one replays the identical stream — the ids
 //                   sidecar matches, so the solve resumes from the last
 //                   CRC-valid checkpoint instead of starting cold;
-//   D  fairness     weighted-fair batcher, one worker, slowed scoring:
+//   D  fairness     fair-queued batcher, one worker, slowed scoring:
 //                   tenant A floods 20x tenant B's traffic up front,
 //                   tenant B's paced requests must still meet their
 //                   latency budget (no starvation in either direction);
@@ -209,7 +209,6 @@ int run(int argc, char** argv) {
   ls::serve::ServeOptions sopts;
   sopts.workers = 2;
   sopts.batcher.max_batch = 16;
-  sopts.batcher.deadline_ms = 1.0;
   sopts.batcher.max_queue = 4096;
   auto engine = std::make_unique<ls::serve::ServeEngine>(sopts);
   engine->load_model("stream", model_path);
@@ -417,7 +416,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  // ---- Phase D: weighted-fair queuing under a tenant flood -------------
+  // ---- Phase D: fair queuing under a tenant flood ----------------------
   const auto flood = static_cast<std::size_t>(cli.get_int("flood"));
   const auto paced = static_cast<std::size_t>(cli.get_int("paced"));
   const double b_budget_ms = cli.get_double("b-p95-budget-ms");
@@ -431,9 +430,7 @@ int run(int argc, char** argv) {
   ls::serve::ServeOptions fopts;
   fopts.workers = 1;  // one scoring lane: extraction order IS the policy
   fopts.batcher.max_batch = 8;
-  fopts.batcher.deadline_ms = 1.0;
   fopts.batcher.max_queue = 8192;
-  fopts.batcher.fair = true;
   ls::serve::ServeEngine fair_engine(fopts);
   fair_engine.load_model("tenantA", model_path);
   fair_engine.load_model("tenantB", model_path);

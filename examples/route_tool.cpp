@@ -26,11 +26,8 @@
 // SIGTERM/SIGINT drain the router (stop accepting, finish in-flight
 // frames) exactly like serve_tool; `--mode shutdown` stops the router
 // only, never the replicas.
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -42,13 +39,6 @@
 #include "serve/server.hpp"
 
 namespace {
-
-int g_signal_pipe[2] = {-1, -1};
-
-extern "C" void on_terminate_signal(int) {
-  const char byte = 1;
-  (void)!::write(g_signal_pipe[1], &byte, 1);
-}
 
 int run(int argc, char** argv) {
   ls::CliParser cli("route_tool",
@@ -132,39 +122,7 @@ int run(int argc, char** argv) {
   }
   std::fflush(stdout);
 
-  std::signal(SIGPIPE, SIG_IGN);
-  LS_CHECK(::pipe(g_signal_pipe) == 0, "route_tool: pipe() failed");
-  struct sigaction sa{};
-  sa.sa_handler = on_terminate_signal;
-  sigemptyset(&sa.sa_mask);
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
-
-  std::thread signal_watcher([&] {
-    char byte = 0;
-    ssize_t n;
-    do {
-      n = ::read(g_signal_pipe[0], &byte, 1);
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return;  // write end closed: normal shutdown
-    std::printf("signal received, draining (bound %gms)...\n", drain_ms);
-    std::fflush(stdout);
-    const bool quiesced = server.drain(drain_ms);
-    std::printf("drain %s in %.3fs\n", quiesced ? "complete" : "timed out",
-                server.server_stats().drain_seconds);
-    std::fflush(stdout);
-    server.stop();
-  });
-
-  server.wait();  // until kShutdownReq, SIGTERM/SIGINT drain, or stop()
-
-  ::close(g_signal_pipe[1]);
-  g_signal_pipe[1] = -1;
-  signal_watcher.join();
-  ::close(g_signal_pipe[0]);
-  g_signal_pipe[0] = -1;
-
-  server.stop();
+  ls::serve::serve_until_shutdown(server, drain_ms);
   router.stop();
 
   std::printf("--- final stats ---\n%s%s", router.stats_text().c_str(),

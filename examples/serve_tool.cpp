@@ -19,14 +19,9 @@
 //   ./serve_client --socket /tmp/ls_serve.sock --mode bench --model demo
 //       --data /tmp/ls_demo_test.libsvm   (one line)
 //   ./serve_client --socket /tmp/ls_serve.sock --mode shutdown
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
@@ -36,17 +31,6 @@
 #include "serve/server.hpp"
 
 namespace {
-
-/// Self-pipe for SIGTERM/SIGINT: the handler only writes one byte (the
-/// single async-signal-safe thing worth doing) and a watcher thread runs
-/// the actual drain sequence outside signal context.
-int g_signal_pipe[2] = {-1, -1};
-
-extern "C" void on_terminate_signal(int) {
-  const char byte = 1;
-  // Best-effort: if the pipe is already closed we are shutting down anyway.
-  (void)!::write(g_signal_pipe[1], &byte, 1);
-}
 
 /// Parses "name=path[,name=path...]" into (name, path) pairs.
 std::vector<std::pair<std::string, std::string>> parse_models(
@@ -70,18 +54,18 @@ std::vector<std::pair<std::string, std::string>> parse_models(
 
 int run(int argc, char** argv) {
   ls::CliParser cli("serve_tool",
-                    "Persistent prediction-serving daemon with request "
-                    "batching, admission control, graceful drain and hot "
-                    "model reload");
+                    "Persistent prediction-serving daemon with fair-queued "
+                    "request batching, admission control, graceful drain "
+                    "and hot model reload");
   cli.add_flag("models", "", "models to host: name=path[,name=path...]");
   cli.add_flag("socket", "", "unix-domain socket path to listen on");
   cli.add_flag("port", "-1",
                "loopback TCP port to listen on instead of --socket "
                "(0 = kernel-assigned, printed at startup)");
   cli.add_flag("workers", "2", "scoring worker threads");
-  cli.add_flag("max-batch", "64", "requests coalesced per SMSV flush");
-  cli.add_flag("deadline-ms", "2",
-               "micro-batch flush deadline in ms (0 = greedy flush)");
+  cli.add_flag("max-batch", "64",
+               "most requests one free worker takes from a model's queued "
+               "cohort into one SMSV batch (it never waits for more)");
   cli.add_flag("max-queue", "1024",
                "admission limit: queued requests beyond this are shed");
   cli.add_flag("latency-budget-ms", "0",
@@ -133,7 +117,6 @@ int run(int argc, char** argv) {
   ls::serve::ServeOptions opts;
   opts.workers = static_cast<int>(cli.get_int("workers"));
   opts.batcher.max_batch = static_cast<ls::index_t>(cli.get_int("max-batch"));
-  opts.batcher.deadline_ms = cli.get_double("deadline-ms");
   opts.batcher.max_queue =
       static_cast<std::size_t>(cli.get_int("max-queue"));
   opts.latency_budget_ms = cli.get_double("latency-budget-ms");
@@ -175,19 +158,17 @@ int run(int argc, char** argv) {
   ls::serve::ServeServer server(engine, listen);
   server.start();
   if (!listen.unix_path.empty()) {
-    std::printf("serving on unix:%s  (workers=%d batch=%d deadline=%gms "
-                "queue=%zu hint=%s)\n",
+    std::printf("serving on unix:%s  (workers=%d batch<=%d queue=%zu "
+                "hint=%s)\n",
                 listen.unix_path.c_str(), opts.workers,
                 static_cast<int>(opts.batcher.max_batch),
-                opts.batcher.deadline_ms, opts.batcher.max_queue,
-                ls::deployment_hint_name(opts.hint));
+                opts.batcher.max_queue, ls::deployment_hint_name(opts.hint));
   } else {
-    std::printf("serving on tcp:127.0.0.1:%d  (workers=%d batch=%d "
-                "deadline=%gms queue=%zu hint=%s)\n",
+    std::printf("serving on tcp:127.0.0.1:%d  (workers=%d batch<=%d "
+                "queue=%zu hint=%s)\n",
                 server.port(), opts.workers,
                 static_cast<int>(opts.batcher.max_batch),
-                opts.batcher.deadline_ms, opts.batcher.max_queue,
-                ls::deployment_hint_name(opts.hint));
+                opts.batcher.max_queue, ls::deployment_hint_name(opts.hint));
   }
   if (opts.reschedule.enabled) {
     std::printf("online rescheduling on (interval=%gms threshold=%g "
@@ -201,44 +182,7 @@ int run(int argc, char** argv) {
   }
   std::fflush(stdout);
 
-  // A dead peer must surface as a write error on its own connection, not
-  // kill the whole daemon.
-  std::signal(SIGPIPE, SIG_IGN);
-  LS_CHECK(::pipe(g_signal_pipe) == 0, "serve_tool: pipe() failed");
-  struct sigaction sa{};
-  sa.sa_handler = on_terminate_signal;
-  sigemptyset(&sa.sa_mask);
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
-
-  std::thread signal_watcher([&] {
-    char byte = 0;
-    ssize_t n;
-    do {
-      n = ::read(g_signal_pipe[0], &byte, 1);
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return;  // write end closed: normal shutdown, nothing to do
-    std::printf("signal received, draining (bound %gms)...\n", drain_ms);
-    std::fflush(stdout);
-    const bool quiesced = server.drain(drain_ms);
-    std::printf("drain %s in %.3fs\n",
-                quiesced ? "complete" : "timed out",
-                server.server_stats().drain_seconds);
-    std::fflush(stdout);
-    server.stop();  // wakes server.wait() below
-  });
-
-  server.wait();  // until kShutdownReq, SIGTERM/SIGINT drain, or stop()
-
-  // Unblock the watcher if it is still parked on the pipe (shutdown came
-  // through the protocol verb), then finish teardown in one place.
-  ::close(g_signal_pipe[1]);
-  g_signal_pipe[1] = -1;
-  signal_watcher.join();
-  ::close(g_signal_pipe[0]);
-  g_signal_pipe[0] = -1;
-
-  server.stop();
+  ls::serve::serve_until_shutdown(server, drain_ms);
   engine.stop();
 
   std::printf("--- final stats ---\n%s%s", engine.stats_text().c_str(),

@@ -18,14 +18,9 @@
 //
 //   # watch versions move
 //   ./serve_client --socket /tmp/ls_train.sock --mode models
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
@@ -36,13 +31,6 @@
 #include "train/handler.hpp"
 
 namespace {
-
-int g_signal_pipe[2] = {-1, -1};
-
-extern "C" void on_terminate_signal(int) {
-  const char byte = 1;
-  (void)!::write(g_signal_pipe[1], &byte, 1);
-}
 
 /// Parses "name=path[,name=path...]" into (name, model_path) pairs.
 std::vector<std::pair<std::string, std::string>> parse_models(
@@ -191,39 +179,7 @@ int run(int argc, char** argv) {
   }
   std::fflush(stdout);
 
-  std::signal(SIGPIPE, SIG_IGN);
-  LS_CHECK(::pipe(g_signal_pipe) == 0, "train_tool: pipe() failed");
-  struct sigaction sa{};
-  sa.sa_handler = on_terminate_signal;
-  sigemptyset(&sa.sa_mask);
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
-
-  std::thread signal_watcher([&] {
-    char byte = 0;
-    ssize_t n;
-    do {
-      n = ::read(g_signal_pipe[0], &byte, 1);
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return;
-    std::printf("signal received, draining (bound %gms)...\n", drain_ms);
-    std::fflush(stdout);
-    const bool quiesced = server.drain(drain_ms);
-    std::printf("drain %s in %.3fs\n", quiesced ? "complete" : "timed out",
-                server.server_stats().drain_seconds);
-    std::fflush(stdout);
-    server.stop();
-  });
-
-  server.wait();
-
-  ::close(g_signal_pipe[1]);
-  g_signal_pipe[1] = -1;
-  signal_watcher.join();
-  ::close(g_signal_pipe[0]);
-  g_signal_pipe[0] = -1;
-
-  server.stop();
+  ls::serve::serve_until_shutdown(server, drain_ms);
   trainer.stop();
 
   std::printf("--- final stats ---\n%s%s", trainer.stats_text().c_str(),

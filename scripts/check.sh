@@ -44,6 +44,14 @@ PY
   rm -f "${out}"
 }
 
+perfbench_selftest() {
+  # Benchmark self-test: perfbench/run.py builds the benchmark package from
+  # this checkout and runs its helper tests (percentile selection, the
+  # max-rate ladder rule, seed-determinism of the generated inputs).
+  echo "==> perfbench selftest"
+  python3 perfbench/run.py --selftest
+}
+
 serve_smoke() {
   # Serving smoke: the whole daemon lifecycle against a real trained model.
   # Train the demo model, start serve_tool on a unix socket, push 1k
@@ -306,7 +314,7 @@ train_serve_smoke() {
   # Continuous-learning smoke: the full train-and-serve loop with real
   # daemons. First the in-process chaos soak (bench/train_serve_chaos):
   # mid-save trainer kill + checkpoint resume, reloads landing mid-burst,
-  # weighted-fair queuing under a tenant flood (the binary asserts all of
+  # fair queuing under a tenant flood (the binary asserts all of
   # it and exits 1 otherwise). Then a real train_tool ingests a 500-example
   # stream over the wire, retrains on its cadence and publishes live
   # reloads into a real serve_tool while a retrying predict bench hammers
@@ -570,6 +578,7 @@ if [[ "${mode}" == "all" || "${mode}" == "--plain-only" ]]; then
     LS_SIMD="${level}" ctest --test-dir build --output-on-failure -j "$(nproc)"
   done
   metrics_smoke
+  perfbench_selftest
   serve_smoke build
   reschedule_smoke build
   chaos_smoke build

@@ -1,21 +1,22 @@
-// Adaptive micro-batcher: the bounded request queue of the serving engine.
+// Micro-batcher: the bounded request queue of the serving engine.
 //
 // Concurrent predict requests are coalesced into batches that the worker
 // pool scores with one multiply_dense_batch stream instead of one SMSV per
-// request. Flush policy (the batcher state machine, DESIGN.md §12):
+// request. There is one batching rule (DESIGN.md §12): a worker that is
+// free takes, at once, up to max_batch queued requests of one tenant's
+// cohort — the tenant with the least service so far on a start-time
+// virtual clock (DESIGN.md §17). Nothing waits for a batch to fill;
+// batches grow only while every worker is busy scoring, so a lone request
+// is never delayed and a flooding tenant cannot starve a trickling one.
+// With a single tenant the rule is plain FIFO.
 //
-//   empty   --submit-->  filling
-//   filling --pending >= max_batch--------------->  flush (full)
-//   filling --oldest pending older than deadline-->  flush (deadline)
-//   filling --deadline == 0----------------------->  flush (greedy: take
-//                                                    whatever is pending)
-//
-// A flush extracts the longest same-model prefix cohort (batches never mix
-// models — they share one BatchPredictor call), up to max_batch requests.
-// Admission control happens at submit(): when the queue already holds
-// max_queue requests the submission is rejected immediately — shedding at
-// the door is cheaper than timing out after queueing (the PR 1 degradation
-// philosophy applied to traffic).
+// A cohort is one model version (batches never mix models — they share
+// one BatchPredictor call); extraction keeps arrival order within the
+// cohort and leaves the skipped requests in their order. Admission control
+// happens at submit(): when the queue already holds max_queue requests, or
+// the tenant already holds max_per_model, the submission is rejected
+// immediately — shedding at the door is cheaper than timing out after
+// queueing.
 #pragma once
 
 #include <chrono>
@@ -49,13 +50,9 @@ struct BatchRequest {
 
 /// Batcher configuration.
 struct BatcherOptions {
-  /// Requests per flush; also the SMSV batch width (clamped to
+  /// Requests per batch; also the SMSV batch width (clamped to
   /// [1, kMaxSmsvBatch] by the engine).
   index_t max_batch = 64;
-  /// Maximum time a pending request waits for its batch to fill before a
-  /// partial flush. 0 = greedy: flush whatever is pending as soon as a
-  /// worker is free (batches still form naturally while workers are busy).
-  double deadline_ms = 2.0;
   /// Admission limit: submissions beyond this queue depth are shed.
   std::size_t max_queue = 1024;
   /// Per-tenant admission quota: a model name with this many requests
@@ -63,15 +60,6 @@ struct BatcherOptions {
   /// the shared queue has room — one tenant's burst cannot monopolise the
   /// queue. 0 = no per-tenant limit (default).
   std::size_t max_per_model = 0;
-  /// Weighted-fair extraction (DESIGN.md §17): instead of always flushing
-  /// the front request's cohort, pick the queued tenant with the least
-  /// normalised service (service / weight, start-time virtual clock), so a
-  /// flooding tenant cannot starve a trickling one. Off by default — the
-  /// plain FIFO cohort policy has lower jitter for cooperating tenants.
-  bool fair = false;
-  /// Tenant weights for fair mode, keyed by model name; absent = 1.0.
-  /// A tenant with weight 2 receives twice the service share of weight 1.
-  std::unordered_map<std::string, double> weights;
 };
 
 /// Why submit() rejected a request (reported via its out-parameter so the
@@ -82,7 +70,7 @@ enum class SubmitReject : std::uint8_t {
   kModelQuota = 2,
 };
 
-/// Bounded, deadline-flushed request queue (thread-safe).
+/// Bounded, fair-queued request queue (thread-safe).
 class MicroBatcher {
  public:
   explicit MicroBatcher(BatcherOptions opts);
@@ -97,14 +85,15 @@ class MicroBatcher {
       std::shared_ptr<const LoadedModel> model, SparseVector x,
       double deadline_ms = 0.0, SubmitReject* reject = nullptr);
 
-  /// Blocks until a batch is ready under the flush policy, then moves it
-  /// into `out` (previous contents discarded). Returns false when the
-  /// batcher was stopped and the queue fully drained — the worker's exit
-  /// signal. A successful extraction claims one in-flight batch *under the
-  /// queue lock*, so there is no instant at which a batch has left the
-  /// queue but is not yet accounted for — the drain predicate
-  /// (quiesced()) can never observe "empty and idle" while a batch is
-  /// about to be scored. The worker releases the claim with batch_done().
+  /// Blocks until a request is queued, then moves up to max_batch requests
+  /// of the least-served tenant's frontmost cohort into `out` (previous
+  /// contents discarded). Returns false when the batcher was stopped and
+  /// the queue fully drained — the worker's exit signal. A successful
+  /// extraction claims one in-flight batch *under the queue lock*, so
+  /// there is no instant at which a batch has left the queue but is not
+  /// yet accounted for — the drain predicate (quiesced()) can never
+  /// observe "empty and idle" while a batch is about to be scored. The
+  /// worker releases the claim with batch_done().
   bool next_batch(std::vector<BatchRequest>& out);
 
   /// Releases the in-flight claim of one extracted batch once its every
@@ -127,50 +116,29 @@ class MicroBatcher {
   const BatcherOptions& options() const { return opts_; }
 
  private:
-  /// True when the front request's model has a full cohort queued (the
-  /// only thing a flush can actually take). One hash lookup against the
-  /// incrementally maintained per-model counts — this runs inside the
-  /// deadline-mode cv_ wait predicate on every submit notification, so it
-  /// must not scan the queue (an O(queue) scan there goes quadratic under
-  /// deep mixed-model queues). mu_ held.
-  bool front_cohort_full_locked() const;
-  /// Fair-mode flush test: true when ANY queued cohort is full — fair
-  /// extraction may take a cohort other than the front's, so the front-only
-  /// test would sleep through a full cohort further back. O(#distinct
-  /// queued model versions), which tenancy keeps small. mu_ held.
-  bool any_cohort_full_locked() const;
-  /// Fair-mode cohort choice: the model of the frontmost queued request
-  /// belonging to the tenant with minimal normalised service. mu_ held.
-  const LoadedModel* fair_cohort_locked() const;
-  /// Drops one queued-request count for `m`, erasing the entry at zero so
-  /// the map tracks only models currently queued. mu_ held.
-  void cohort_release_locked(const LoadedModel* m);
-  /// Tenant weight (1.0 unless configured).
-  double weight_of(const std::string& name) const;
+  /// The cohort to extract: the model of the frontmost queued request
+  /// whose tenant has the least service (ties resolve FIFO). mu_ held,
+  /// queue non-empty.
+  const LoadedModel* least_served_cohort_locked() const;
 
   BatcherOptions opts_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<BatchRequest> queue_;
-  /// Queued (not yet extracted) requests per model identity — maintained
-  /// on every push/pop so the flush predicate is O(1). Invariant: for
-  /// every model pointer, cohort_counts_[m] == number of queue_ entries
-  /// whose request pins m, and absent means zero (mu_).
-  std::unordered_map<const LoadedModel*, index_t> cohort_counts_;
   /// Per-tenant accounting, keyed by model *name* (a tenant spans versions
   /// across reloads). `queued` backs the admission quota; `service` is the
-  /// weighted-fair virtual clock: it advances by batch_size / weight on
-  /// every extraction, and a tenant going from idle to active starts at the
+  /// fair-queuing virtual clock: it advances by the batch size on every
+  /// extraction, and a tenant going from idle to active starts at the
   /// current virtual time (start-time fairness — an idle tenant banks no
   /// credit). Entries are erased at queued == 0, so the map only holds
   /// active tenants (mu_).
   struct TenantState {
-    double service = 0.0;
+    std::uint64_t service = 0;
     std::size_t queued = 0;
   };
   std::unordered_map<std::string, TenantState> tenants_;
-  /// Normalised service of the most recently served tenant (mu_).
-  double virtual_time_ = 0.0;
+  /// Service of the most recently served tenant (mu_).
+  std::uint64_t virtual_time_ = 0;
   /// Batches extracted by next_batch() but not yet batch_done() (mu_).
   int in_flight_ = 0;
   bool stopped_ = false;

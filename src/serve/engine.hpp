@@ -8,7 +8,7 @@
 //
 //   ModelRegistry   N hosted models, layouts chosen at load time
 //                   (latency- or throughput-optimized, sched hint)
-//   MicroBatcher    bounded queue; coalesces concurrent requests
+//   MicroBatcher    bounded fair queue; coalesces concurrent requests
 //   worker pool     scores batches via BatchPredictor's re-entrant
 //                   span API (one multiply_dense_batch per flush)
 //   admission ctl   queue-depth shedding at submit, latency-budget
@@ -39,7 +39,7 @@ namespace ls::serve {
 /// Engine configuration.
 struct ServeOptions {
   int workers = 2;                  ///< scoring threads
-  BatcherOptions batcher;           ///< flush policy + admission limit
+  BatcherOptions batcher;           ///< batch width + admission limits
   /// Requests that already waited longer than this when a worker dequeues
   /// them are shed with kOverloaded instead of scored — compute spent on a
   /// request the client has given up on is pure waste. 0 disables.

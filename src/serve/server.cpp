@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -43,6 +45,17 @@ FrameTimeouts io_timeouts(const ServerOptions& o) {
 /// closed listener: back off and retry instead of exiting the accept loop.
 bool accept_errno_is_overload(int err) {
   return err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM;
+}
+
+/// Self-pipe for SIGTERM/SIGINT: the handler only writes one byte (the
+/// single async-signal-safe thing worth doing) and a watcher thread runs
+/// the actual drain sequence outside signal context.
+int g_signal_pipe[2] = {-1, -1};
+
+extern "C" void on_terminate_signal(int) {
+  const char byte = 1;
+  // Best-effort: if the pipe is already closed we are shutting down anyway.
+  (void)!::write(g_signal_pipe[1], &byte, 1);
 }
 
 /// Exception-safe decrement for the in-flight frame counter.
@@ -594,6 +607,43 @@ std::string ServeServer::stats_text() const {
      << "draining " << (s.draining ? 1 : 0) << '\n'
      << "drain_seconds " << s.drain_seconds << '\n';
   return os.str();
+}
+
+void serve_until_shutdown(ServeServer& server, double drain_ms) {
+  std::signal(SIGPIPE, SIG_IGN);
+  LS_CHECK(::pipe(g_signal_pipe) == 0, "serve_until_shutdown: pipe() failed");
+  struct sigaction sa{};
+  sa.sa_handler = on_terminate_signal;
+  sigemptyset(&sa.sa_mask);
+  ::sigaction(SIGTERM, &sa, nullptr);
+  ::sigaction(SIGINT, &sa, nullptr);
+
+  std::thread signal_watcher([&] {
+    char byte = 0;
+    ssize_t n;
+    do {
+      n = ::read(g_signal_pipe[0], &byte, 1);
+    } while (n < 0 && errno == EINTR);
+    if (n <= 0) return;  // write end closed: normal shutdown, nothing to do
+    std::printf("signal received, draining (bound %gms)...\n", drain_ms);
+    std::fflush(stdout);
+    const bool quiesced = server.drain(drain_ms);
+    std::printf("drain %s in %.3fs\n", quiesced ? "complete" : "timed out",
+                server.server_stats().drain_seconds);
+    std::fflush(stdout);
+    server.stop();  // wakes server.wait() below
+  });
+
+  server.wait();  // until kShutdownReq, SIGTERM/SIGINT drain, or stop()
+
+  // Unblock the watcher if it is still parked on the pipe (shutdown came
+  // through the protocol verb), then finish teardown in one place.
+  ::close(g_signal_pipe[1]);
+  g_signal_pipe[1] = -1;
+  signal_watcher.join();
+  ::close(g_signal_pipe[0]);
+  g_signal_pipe[0] = -1;
+  server.stop();
 }
 
 }  // namespace ls::serve

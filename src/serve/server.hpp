@@ -248,4 +248,13 @@ class ServeServer {
   std::atomic<double> drain_seconds_{0.0};
 };
 
+/// Daemon main loop for a started server: ignores SIGPIPE (a dead peer is
+/// an error on its own connection, not the process's death), routes
+/// SIGTERM/SIGINT through a self-pipe to a watcher thread that runs
+/// drain(drain_ms) and logs "drain complete|timed out", then blocks until
+/// a shutdown verb, a signal-driven drain or stop() ends serving. Returns
+/// with the server stopped and the signal handlers still installed (a
+/// later signal is a no-op). One server per process.
+void serve_until_shutdown(ServeServer& server, double drain_ms);
+
 }  // namespace ls::serve

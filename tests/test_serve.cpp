@@ -335,7 +335,6 @@ TEST(ServeEngine, ConcurrentBatchedScoresBitIdenticalToSequential) {
   ServeOptions par = fixed_layout_options();
   par.workers = 4;
   par.batcher.max_batch = 64;
-  par.batcher.deadline_ms = 0.0;  // greedy: maximal batching under load
   ServeEngine batched(par);
   batched.load_model("m", path);
   batched.start();
@@ -361,40 +360,13 @@ TEST(ServeEngine, ConcurrentBatchedScoresBitIdenticalToSequential) {
   EXPECT_GE(occupancy, 1.0);
 }
 
-// --- engine: batcher flush policy --------------------------------------
-
-TEST(ServeEngine, DeadlineFlushCoalescesConcurrentRequests) {
-  const std::string path = temp_model_path("deadline.txt");
-  save_model_file(path, make_model(8, 16, 0xDEAD));
-  ServeOptions opts = fixed_layout_options();
-  opts.workers = 1;
-  opts.batcher.max_batch = 64;
-  opts.batcher.deadline_ms = 50.0;  // far above the submit spread
-  ServeEngine engine(opts);
-  engine.load_model("m", path);
-  engine.start();
-
-  std::vector<std::future<PredictResult>> futures;
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(
-        engine.predict_async("m", SparseVector({i}, {1.0})));
-  }
-  for (auto& f : futures) EXPECT_EQ(f.get().status, Status::kOk);
-
-  // All three waited out the deadline together: one flush, occupancy 3.
-  const ServeStats s = engine.stats();
-  EXPECT_EQ(s.batches_total, 1);
-  EXPECT_EQ(s.batched_rows_total, 3);
-  engine.stop();
-}
+// --- engine: batching policy -------------------------------------------
 
 TEST(ServeEngine, GreedyModeDoesNotDelaySoloRequests) {
   const std::string path = temp_model_path("greedy.txt");
   save_model_file(path, make_model(8, 16, 0x64EE));
-  ServeOptions opts = fixed_layout_options();
+  ServeOptions opts = fixed_layout_options();  // default batcher options
   opts.workers = 1;
-  opts.batcher.max_batch = 64;
-  opts.batcher.deadline_ms = 0.0;
   ServeEngine engine(opts);
   engine.load_model("m", path);
   engine.start();
@@ -403,8 +375,8 @@ TEST(ServeEngine, GreedyModeDoesNotDelaySoloRequests) {
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-  // A greedy flush must not wait for more traffic. Generous bound: the
-  // score itself is microseconds.
+  // A free worker takes a lone request at once, never waiting for more
+  // traffic. Generous bound: the score itself is microseconds.
   EXPECT_LT(ms, 500.0);
   engine.stop();
 }
@@ -417,7 +389,6 @@ TEST(ServeEngine, QueueFullSubmissionsAreShed) {
   ServeOptions opts = fixed_layout_options();
   opts.workers = 1;
   opts.batcher.max_batch = 1;  // one request per (delayed) flush
-  opts.batcher.deadline_ms = 0.0;
   opts.batcher.max_queue = 2;
   ServeEngine engine(opts);
   engine.load_model("m", path);
@@ -450,7 +421,6 @@ TEST(ServeEngine, StaleRequestsAreShedAtDequeue) {
   ServeOptions opts = fixed_layout_options();
   opts.workers = 1;
   opts.batcher.max_batch = 1;
-  opts.batcher.deadline_ms = 0.0;
   opts.latency_budget_ms = 5.0;
   ServeEngine engine(opts);
   engine.load_model("m", path);
@@ -491,7 +461,6 @@ TEST(ServeEngine, HotReloadNeverTearsInFlightPredictions) {
   ServeOptions opts = fixed_layout_options();
   opts.workers = 2;
   opts.batcher.max_batch = 8;
-  opts.batcher.deadline_ms = 0.0;
   ServeEngine engine(opts);
   engine.load_model("m", path);
   engine.start();
@@ -557,7 +526,6 @@ TEST(ServeEngine, StatsSnapshotsAreConsistentUnderLoad) {
   save_model_file(path, make_model(8, 16, 0x57A7));
   ServeOptions opts = fixed_layout_options();
   opts.workers = 2;
-  opts.batcher.deadline_ms = 0.0;
   ServeEngine engine(opts);
   engine.load_model("m", path);
   engine.start();
@@ -643,7 +611,6 @@ TEST(ServeEngine, IdleNeverTrueWhileBatchIsInFlight) {
   save_model_file(path, make_model(6, 12, 0x1F17));
   ServeOptions opts = fixed_layout_options();
   opts.workers = 1;
-  opts.batcher.deadline_ms = 0.0;
   ServeEngine engine(opts);
   engine.load_model("m", path);
   engine.start();
@@ -677,122 +644,60 @@ TEST(ServeEngine, IdleNeverTrueWhileBatchIsInFlight) {
   engine.stop();
 }
 
-// --- batcher: cohort-aware full test -------------------------------------
+// --- batcher: the one batching rule -------------------------------------
 
-TEST(ServeBatcher, MixedModelQueueDoesNotFlushTinyCohortEarly) {
-  const std::string p1 = temp_model_path("cohort1.txt");
-  const std::string p2 = temp_model_path("cohort2.txt");
-  save_model_file(p1, make_model(4, 8, 0xC0A));
-  save_model_file(p2, make_model(4, 8, 0xC0B));
+// Deterministic (single thread, no clocks): every next_batch() call finds
+// the queue non-empty, so it returns at once with the least-served
+// tenant's frontmost cohort. Tenant "a" spans two model versions (a reload
+// mid-backlog); tenant "b" interleaves with it. Each request is tagged by
+// its only feature index, so batches can be compared by arrival number.
+TEST(ServeBatcher, FreeWorkerTakesLeastServedTenantsCohortInArrivalOrder) {
+  const std::string pa = temp_model_path("policy_a.txt");
+  const std::string pb = temp_model_path("policy_b.txt");
+  save_model_file(pa, make_model(4, 16, 0xC0A));
+  save_model_file(pb, make_model(4, 16, 0xC0B));
   SchedulerOptions sched;
   sched.policy = SchedulePolicy::kFixed;
   sched.fixed_format = Format::kCSR;
-  const auto m1 = std::make_shared<const LoadedModel>("m1", p1, sched, 8, 1);
-  const auto m2 = std::make_shared<const LoadedModel>("m2", p2, sched, 8, 1);
+  const auto a1 = std::make_shared<const LoadedModel>("a", pa, sched, 8, 1);
+  const auto a2 = std::make_shared<const LoadedModel>("a", pa, sched, 8, 2);
+  const auto b = std::make_shared<const LoadedModel>("b", pb, sched, 8, 1);
 
-  BatcherOptions opts;
-  opts.max_batch = 4;
-  opts.deadline_ms = 80.0;
+  BatcherOptions opts;  // the defaults, except a batch width of 2
+  opts.max_batch = 2;
   MicroBatcher batcher(opts);
-
-  // Interleaved two-model traffic: 6 queued requests cross max_batch, but
-  // neither model's cohort is full. The raw-depth full test used to flush
-  // a 3-request cohort immediately here; the cohort-aware test waits out
-  // the deadline instead, giving the batch time to actually fill.
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(batcher.submit(m1, SparseVector({0}, {1.0}), 0.0));
-    ASSERT_TRUE(batcher.submit(m2, SparseVector({0}, {1.0}), 0.0));
+  const std::shared_ptr<const LoadedModel> arrivals[] = {a1, a1, a1, b, b,
+                                                         a2, a2, b, b};
+  for (index_t tag = 0; tag < 9; ++tag) {
+    ASSERT_TRUE(batcher.submit(arrivals[tag], SparseVector({tag}, {1.0})));
   }
-  const auto t0 = std::chrono::steady_clock::now();
+
+  struct Expected {
+    const LoadedModel* model;
+    std::vector<index_t> tags;
+  };
+  const Expected expected[] = {
+      {a1.get(), {0, 1}},  // tie at zero service: FIFO; max_batch caps it
+      {b.get(), {3, 4}},   // b is least served; a's skipped 2 keeps its place
+      {a1.get(), {2}},     // a1 and a2 never share a batch
+      {b.get(), {7, 8}},   // the tenants alternate while both have backlog
+      {a2.get(), {5, 6}},
+  };
   std::vector<BatchRequest> batch;
-  ASSERT_TRUE(batcher.next_batch(batch));
-  const double waited_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_EQ(batch.size(), 3u);
-  for (const BatchRequest& r : batch) EXPECT_EQ(r.model.get(), m1.get());
-  EXPECT_GE(waited_ms, 0.5 * opts.deadline_ms);
-  batcher.batch_done();
-  for (BatchRequest& r : batch) {
-    r.done.set_value(PredictResult{Status::kOk, 0.0, 0.0});
-  }
-  batcher.stop();
-
-  // A genuinely full cohort still flushes with no deadline wait, even when
-  // its requests are interleaved with another model's.
-  MicroBatcher batcher2(opts);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(batcher2.submit(m2, SparseVector({0}, {1.0}), 0.0));
-    if (i < 3) {
-      ASSERT_TRUE(batcher2.submit(m1, SparseVector({0}, {1.0}), 0.0));
+  for (const Expected& e : expected) {
+    ASSERT_TRUE(batcher.next_batch(batch));
+    std::vector<index_t> tags;
+    for (const BatchRequest& r : batch) {
+      EXPECT_EQ(r.model.get(), e.model);
+      tags.push_back(r.x.indices()[0]);
     }
+    EXPECT_EQ(tags, e.tags);
+    batcher.batch_done();
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(batcher2.next_batch(batch));
-  const double fast_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t1)
-                             .count();
-  EXPECT_EQ(batch.size(), 4u);
-  for (const BatchRequest& r : batch) EXPECT_EQ(r.model.get(), m2.get());
-  EXPECT_LT(fast_ms, 0.5 * opts.deadline_ms);
-  batcher2.batch_done();
-  for (BatchRequest& r : batch) {
-    r.done.set_value(PredictResult{Status::kOk, 0.0, 0.0});
-  }
-  batcher2.stop();
-}
-
-TEST(ServeBatcher, CohortCountsSurvivePartialExtractionAndReprepend) {
-  const std::string p1 = temp_model_path("cohortcnt1.txt");
-  const std::string p2 = temp_model_path("cohortcnt2.txt");
-  save_model_file(p1, make_model(4, 8, 0xC1A));
-  save_model_file(p2, make_model(4, 8, 0xC1B));
-  SchedulerOptions sched;
-  sched.policy = SchedulePolicy::kFixed;
-  sched.fixed_format = Format::kCSR;
-  const auto m1 = std::make_shared<const LoadedModel>("m1", p1, sched, 8, 1);
-  const auto m2 = std::make_shared<const LoadedModel>("m2", p2, sched, 8, 1);
-
-  // m1 holds the front with a partial cohort; m2's cohort behind it is
-  // already full. The first flush takes m1 after the deadline and
-  // re-prepends m2's requests — whose per-model count must survive that
-  // round-trip so the second flush fires on the "full" fast path, not the
-  // deadline.
-  BatcherOptions opts;
-  opts.max_batch = 4;
-  opts.deadline_ms = 80.0;
-  MicroBatcher batcher(opts);
-  ASSERT_TRUE(batcher.submit(m1, SparseVector({0}, {1.0}), 0.0));
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(batcher.submit(m2, SparseVector({0}, {1.0}), 0.0));
-    if (i == 0) {
-      ASSERT_TRUE(batcher.submit(m1, SparseVector({0}, {1.0}), 0.0));
-    }
-  }
-
-  std::vector<BatchRequest> batch;
-  ASSERT_TRUE(batcher.next_batch(batch));
-  EXPECT_EQ(batch.size(), 2u);
-  for (const BatchRequest& r : batch) EXPECT_EQ(r.model.get(), m1.get());
-  batcher.batch_done();
-  for (BatchRequest& r : batch) {
-    r.done.set_value(PredictResult{Status::kOk, 0.0, 0.0});
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(batcher.next_batch(batch));
-  const double fast_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-  EXPECT_EQ(batch.size(), 4u);
-  for (const BatchRequest& r : batch) EXPECT_EQ(r.model.get(), m2.get());
-  EXPECT_LT(fast_ms, 0.5 * opts.deadline_ms);
-  batcher.batch_done();
-  for (BatchRequest& r : batch) {
-    r.done.set_value(PredictResult{Status::kOk, 0.0, 0.0});
-  }
+  EXPECT_EQ(batcher.depth(), 0u);
+  EXPECT_TRUE(batcher.quiesced());
   batcher.stop();
+  EXPECT_FALSE(batcher.next_batch(batch));
 }
 
 // --- socket server end-to-end -------------------------------------------
@@ -1130,7 +1035,6 @@ TEST(ServeEngine, ExpiredClientDeadlineIsShedBeforeCompute) {
   ServeOptions opts = fixed_layout_options();
   opts.workers = 1;
   opts.batcher.max_batch = 1;
-  opts.batcher.deadline_ms = 0.0;  // greedy flush
   ServeEngine engine(opts);
   engine.load_model("m", path);
   engine.start();
@@ -1422,7 +1326,7 @@ TEST(ServeServer, TornResponseIsRetriedTransparently) {
   EXPECT_GE(c.retries_observed(), 1);
 }
 
-// --- multi-tenant pressure control: quotas + weighted-fair queuing -------
+// --- multi-tenant pressure control: quotas + fair queuing ----------------
 
 TEST(ServeBatcher, PerModelQuotaShedsFloodButAdmitsOtherTenants) {
   const std::string p1 = temp_model_path("quota1.txt");
@@ -1469,7 +1373,6 @@ TEST(ServeEngine, QuotaShedsAreCountedSeparatelyFromQueueSheds) {
   ServeOptions opts = fixed_layout_options();
   opts.workers = 1;
   opts.batcher.max_batch = 1;
-  opts.batcher.deadline_ms = 0.0;
   opts.batcher.max_queue = 64;
   opts.batcher.max_per_model = 2;
   ServeEngine engine(opts);
@@ -1498,9 +1401,9 @@ TEST(ServeEngine, QuotaShedsAreCountedSeparatelyFromQueueSheds) {
 }
 
 // The fairness keystone (DESIGN.md §17): tenant A floods the queue at 20x
-// tenant B's rate; with weighted-fair extraction B's paced requests must
-// still be served promptly (FIFO would park each one behind A's entire
-// backlog) and neither tenant may starve. Latency bounds are generous —
+// tenant B's rate; with fair extraction B's paced requests must still be
+// served promptly (FIFO would park each one behind A's entire backlog) and
+// neither tenant may starve. Latency bounds are generous —
 // the FIFO failure mode is ~25-50x over budget, so the gate holds under
 // TSan's slowdown too.
 TEST(ServeEngine, WeightedFairQueuingKeepsPacedTenantWithinBudget) {
@@ -1509,9 +1412,7 @@ TEST(ServeEngine, WeightedFairQueuingKeepsPacedTenantWithinBudget) {
   ServeOptions opts = fixed_layout_options();
   opts.workers = 1;  // one scoring lane: extraction order IS the policy
   opts.batcher.max_batch = 8;
-  opts.batcher.deadline_ms = 1.0;
   opts.batcher.max_queue = 4096;
-  opts.batcher.fair = true;
   ServeEngine engine(opts);
   engine.load_model("tenantA", path);
   engine.load_model("tenantB", path);
